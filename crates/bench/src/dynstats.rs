@@ -1110,7 +1110,18 @@ mod tests {
 
     #[test]
     fn gate_flags_deterministic_regressions() {
-        let base = one_kernel_report("motiv_trunk");
+        let mut base = one_kernel_report("motiv_trunk");
+        // Pin the measured wall times (SN-SLP faster than O3) so only the
+        // deterministic cycle axis decides; the wall gate has its own
+        // test in `wall_axis_round_trips_and_calibrates`.
+        for (m, wall) in base.kernels[0]
+            .modes
+            .iter_mut()
+            .zip([4000u64, 3500, 3600, 1500])
+        {
+            m.wall_ns = Some(wall);
+            m.class_ns = None;
+        }
         let mut fresh = base.clone();
         assert!(check_dyn(&base, &fresh).is_ok());
         fresh.kernels[0].modes[3].cycles += 1;

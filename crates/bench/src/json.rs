@@ -179,11 +179,10 @@ impl Json {
     /// Parses a JSON document. Errors carry the byte offset they were
     /// detected at.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -230,7 +229,8 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err("unexpected end of input".to_string());
@@ -246,10 +246,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -271,7 +271,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -283,7 +283,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
+        b'"' => Ok(Json::Str(parse_string(text, pos)?)),
         b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
         b'n' => parse_lit(bytes, pos, "null", Json::Null),
@@ -316,62 +316,46 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
+        // Copy everything up to the next delimiter as one slice. Both
+        // delimiters are ASCII, so the run ends on a char boundary.
+        let Some(run) = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\') else {
             return Err("unterminated string".to_string());
         };
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos - 1)),
-                }
-            }
-            _ => {
-                // Re-sync to char boundary for multi-byte UTF-8.
-                let s = &bytes[*pos - 1..];
-                let ch_len = utf8_len(b);
-                let chunk =
-                    std::str::from_utf8(&s[..ch_len.min(s.len())]).map_err(|e| e.to_string())?;
-                out.push_str(chunk);
-                *pos += ch_len - 1;
-            }
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run + 1;
+        if bytes[*pos - 1] == b'"' {
+            return Ok(out);
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".to_string());
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = bytes
+                    .get(*pos..*pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
+                *pos += 4;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos - 1)),
+        }
     }
 }
 
@@ -396,6 +380,132 @@ mod tests {
         assert!(!line.contains('\n'));
         assert_eq!(line, r#"{"a":[1,2.5],"b":"x\ny","c":null}"#);
         assert_eq!(Json::parse(&line).unwrap(), v);
+    }
+
+    /// The char-by-char decoder the run-based [`parse_string`] replaced,
+    /// kept as the reference for the equivalence test.
+    fn parse_string_by_chars(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+        expect(bytes, pos, b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(&b) = bytes.get(*pos) else {
+                return Err("unterminated string".to_string());
+            };
+            *pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(&esc) = bytes.get(*pos) else {
+                        return Err("unterminated escape".to_string());
+                    };
+                    *pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b't' => out.push('\t'),
+                        b'r' => out.push('\r'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = bytes
+                                .get(*pos..*pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
+                            *pos += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return Err(format!("bad escape at byte {}", *pos - 1)),
+                    }
+                }
+                _ => {
+                    // Re-sync to char boundary for multi-byte UTF-8.
+                    let s = &bytes[*pos - 1..];
+                    let ch_len = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let chunk = std::str::from_utf8(&s[..ch_len.min(s.len())])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(chunk);
+                    *pos += ch_len - 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_decoder_matches_char_decoder() {
+        // Pieces chosen to hit every branch: plain and multibyte runs,
+        // every escape, valid / invalid / surrogate / signed `\u` hex,
+        // `\u` running into a multibyte char, raw control bytes, bad
+        // escapes, and strings cut off inside a run or an escape.
+        const PIECES: &[&str] = &[
+            "a",
+            "plain text ",
+            "é",
+            "€",
+            "😀",
+            "\u{10ffff}",
+            "\u{7f}",
+            "\"",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\t",
+            "\\r",
+            "\\b",
+            "\\f",
+            "\\u0041",
+            "\\u00e9",
+            "\\uD83D",
+            "\\uffff",
+            "\\u+abc",
+            "\\u12g4",
+            "\\u12",
+            "\\u1é",
+            "\\x",
+            "\\é",
+            "\\",
+            "\u{0}",
+            "\u{1f}",
+            "\n",
+            "\t",
+            "}",
+            ":",
+            ",",
+        ];
+        let mut rng = snslp_fuzz::Rng::new(0x15_0A);
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.below(12) {
+                text.push_str(rng.pick::<&str>(PIECES));
+            }
+            if rng.chance(3, 4) {
+                text.push('"');
+            }
+            if rng.chance(1, 4) {
+                text.push_str(rng.pick::<&str>(PIECES));
+            }
+            let (mut new_pos, mut old_pos) = (0, 0);
+            let new = parse_string(&text, &mut new_pos);
+            let old = parse_string_by_chars(text.as_bytes(), &mut old_pos);
+            assert_eq!(new, old, "decoders disagree on {text:?}");
+            if new.is_ok() {
+                accepted += 1;
+                assert_eq!(new_pos, old_pos, "end offsets disagree on {text:?}");
+            }
+        }
+        // Both outcomes must be well represented for the check to mean
+        // anything.
+        assert!((2_000..18_000).contains(&accepted), "accepted {accepted}");
     }
 
     #[test]

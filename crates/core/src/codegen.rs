@@ -104,7 +104,17 @@ pub fn apply(
         f.replace_all_uses(from, to);
     }
 
-    schedule(f, block, graph, &positions, &new_insts, &new_keys)?;
+    if let Err(e) = schedule(f, block, graph, &positions, &new_insts, &new_keys) {
+        // Every replacement is a fresh detached instruction that no
+        // linked instruction used before the rewrite, so mapping it back
+        // restores the original operands exactly.
+        for &(from, to) in &rauw {
+            if from != to {
+                f.replace_all_uses(to, from);
+            }
+        }
+        return Err(e);
+    }
 
     f.remove_dead_code();
     Ok(new_insts)

@@ -164,10 +164,13 @@ fn too_narrow_reduction_remarks() {
 #[test]
 fn scheduling_failure_remark_renders() {
     // The pass defends against scheduling cycles before costing (lane
-    // cross-dependence and in-span aliasing both gather), so the codegen
-    // cycle check is a backstop no fixture IR reaches. The golden for
-    // this reason code therefore renders an explicitly-constructed
-    // remark through the same sink path the pass uses.
+    // cross-dependence and in-span aliasing both gather), but reduction
+    // seeds can still reach the codegen cycle check: the two
+    // `snir/fuzz/fuzz_s*_min.snir` reproducers do (see
+    // `scheduling_failure_leaves_function_valid`). Their remark text
+    // carries fuzz-generated names, so the golden for this reason code
+    // renders an explicitly-constructed remark through the same sink
+    // path the pass uses.
     let remark = snslp_trace::Remark {
         pass: "snslp".to_string(),
         function: "@synthetic".to_string(),
@@ -184,6 +187,41 @@ fn scheduling_failure_remark_renders() {
     };
     let lines = snslp_trace::capture(Facet::Remarks as u32, || remark.emit());
     compare_golden("scheduling_failure_synthetic", &(lines.join("\n") + "\n"));
+}
+
+#[test]
+fn scheduling_failure_leaves_function_valid() {
+    // Reduction graphs whose extracts would close a dependence cycle:
+    // codegen must report the failure and leave the function as it was,
+    // so later seeds in the same block still see consistent IR.
+    for name in ["fuzz/fuzz_s2d_i2077_min", "fuzz/fuzz_s50_i863_min"] {
+        let src = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
+        let orig = parse_function_str(&src).expect("fixture parses");
+        for mode in [SlpMode::Slp, SlpMode::Lslp, SlpMode::SnSlp] {
+            let mut f = orig.clone();
+            let mut report = None;
+            // Captured, so these remarks stay out of the sibling tests'
+            // golden streams.
+            let lines = snslp_trace::capture(Facet::Remarks as u32, || {
+                report = Some(run_slp(&mut f, &SlpConfig::new(mode).with_verification()));
+            });
+            let report = report.unwrap();
+            assert!(
+                report
+                    .remarks
+                    .iter()
+                    .any(|r| r.reason == snslp_trace::ReasonCode::SchedulingFailure),
+                "{name} [{mode:?}]: no scheduling-failure remark"
+            );
+            assert!(
+                lines
+                    .iter()
+                    .any(|l| l.contains("reason=scheduling-failure")),
+                "{name} [{mode:?}]: remark stream lacks the failure:\n{lines:#?}"
+            );
+            snslp_ir::verify(&f).unwrap_or_else(|e| panic!("{name} [{mode:?}]: {e}\n{f}"));
+        }
+    }
 }
 
 #[test]

@@ -38,6 +38,8 @@
 //! compile that populated it, and golden tests can compare raw reply
 //! lines.
 
+use std::fmt::Write as _;
+
 use snslp_bench::json::Json;
 use snslp_core::{FunctionReport, SlpConfig, SlpMode};
 use snslp_cost::{CostModel, TargetDesc};
@@ -274,29 +276,63 @@ pub fn report_to_json(report: &FunctionReport) -> Json {
     ])
 }
 
-/// Renders the status/payload half of an `ok` compile reply — everything
-/// after the `id` member. The server memoizes this string per module
-/// text, so it must not contain anything request-specific.
-pub fn ok_body(reports: &[FunctionReport], artifacts: &[(String, String)]) -> String {
-    let mut members = vec![
-        ("status".to_string(), Json::Str(STATUS_OK.to_string())),
-        (
-            "reports".to_string(),
-            Json::Arr(reports.iter().map(report_to_json).collect()),
-        ),
-    ];
-    if !artifacts.is_empty() {
-        members.push((
-            "artifacts".to_string(),
-            Json::Obj(
-                artifacts
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
+/// Renders one function report as the compact text it has inside an
+/// `ok` reply's `reports` array. The server memoizes these per function,
+/// shared between every module whose reply contains the same report.
+pub fn report_fragment(report: &FunctionReport) -> String {
+    report_to_json(report).render_compact()
+}
+
+/// Renders what follows the `reports` array in an `ok` body: nothing, or
+/// the `artifacts` member with its leading comma.
+pub fn artifacts_tail(artifacts: &[(String, String)]) -> String {
+    if artifacts.is_empty() {
+        return String::new();
     }
-    body_of(Json::Obj(members))
+    let members = artifacts
+        .iter()
+        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+        .collect();
+    format!(",\"artifacts\":{}", Json::Obj(members).render_compact())
+}
+
+/// Renders the status/payload half of an `ok` compile reply — everything
+/// after the `id` member. It contains nothing request-specific, so a
+/// memoized copy answers any resubmission.
+pub fn ok_body(reports: &[FunctionReport], artifacts: &[(String, String)]) -> String {
+    let fragments: Vec<String> = reports.iter().map(report_fragment).collect();
+    let mut out = String::new();
+    push_ok_body(&mut out, &fragments, &artifacts_tail(artifacts));
+    out
+}
+
+/// A complete `ok` reply line assembled from [`report_fragment`]s and an
+/// [`artifacts_tail`]; the same bytes as `address(id, &ok_body(..))`.
+pub fn ok_line(id: u64, fragments: &[impl AsRef<str>], tail: &str) -> String {
+    let len = fragments
+        .iter()
+        .map(|f| f.as_ref().len() + 1)
+        .sum::<usize>()
+        + tail.len();
+    let mut out = String::with_capacity(len + 64);
+    let _ = write!(out, "{{\"id\":{id},");
+    push_ok_body(&mut out, fragments, tail);
+    out.push('}');
+    out
+}
+
+fn push_ok_body(out: &mut String, fragments: &[impl AsRef<str>], tail: &str) {
+    out.push_str("\"status\":\"");
+    out.push_str(STATUS_OK);
+    out.push_str("\",\"reports\":[");
+    for (i, f) in fragments.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(f.as_ref());
+    }
+    out.push(']');
+    out.push_str(tail);
 }
 
 /// Renders the status/payload half of a `busy` or `error` reply.
@@ -412,6 +448,43 @@ mod tests {
         let doc = Json::parse(&line).unwrap();
         assert_eq!(doc.get("id").and_then(Json::as_num), Some(42.0));
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("busy"));
+    }
+
+    #[test]
+    fn fragment_lines_match_the_rendered_tree() {
+        let src = "func @f(%a: ptr noalias) -> void {\nentry:\n  %x = load f64, %a\n  store %a, %x\n  ret\n}\n";
+        let mut f = snslp_ir::parse_function_str(src).unwrap();
+        let report = snslp_core::run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
+        let reports = [report.clone(), report];
+        for artifacts in [vec![], vec![("codegen".to_string(), "a\"b\n".to_string())]] {
+            // The reply as one JSON tree, the way it was rendered before
+            // the server memoized per-function fragments.
+            let mut members = vec![
+                ("status".to_string(), Json::Str(STATUS_OK.to_string())),
+                (
+                    "reports".to_string(),
+                    Json::Arr(reports.iter().map(report_to_json).collect()),
+                ),
+            ];
+            if !artifacts.is_empty() {
+                members.push((
+                    "artifacts".to_string(),
+                    Json::Obj(
+                        artifacts
+                            .iter()
+                            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                            .collect(),
+                    ),
+                ));
+            }
+            let tree = body_of(Json::Obj(members));
+            assert_eq!(ok_body(&reports, &artifacts), tree);
+            let fragments: Vec<String> = reports.iter().map(report_fragment).collect();
+            assert_eq!(
+                ok_line(7, &fragments, &artifacts_tail(&artifacts)),
+                address(7, &tree)
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! # Architecture
 //!
 //! Each connection gets a *reader* (the connection's own thread) and a
-//! *writer* (a scoped helper thread). The reader classifies each request
-//! line and answers cheap cases inline — stats, malformed requests,
-//! whole-request memo hits, busy refusals — while compile jobs go to a
-//! shard queue with a per-request reply channel. The writer drains reply
-//! channels **in request order**, so replies are ordered per connection
-//! even though compiles from many connections finish out of order.
+//! *writer* (a scoped helper thread). The reader reads each request line
+//! into one reused buffer capped at [`MAX_REQUEST_LINE`], classifies it,
+//! and answers cheap cases inline — stats, malformed or oversized
+//! requests, whole-request memo hits, busy refusals — while compile jobs
+//! go to a shard queue with a per-request reply channel. The writer
+//! drains reply channels **in request order**, so replies are ordered
+//! per connection even though compiles from many connections finish out
+//! of order.
 //!
 //! Shards are worker threads with bounded queues. A worker drains up to
 //! [`ServeConfig::batch_max`] jobs at once — *batching*: jobs with the
@@ -29,21 +31,26 @@
 //! Two levels, both content-addressed:
 //!
 //! 1. a whole-request memo — stable hash of the raw module text ×
-//!    config fingerprint × artifact set → the rendered reply body, so an
-//!    exact resubmission skips even the parser;
+//!    config fingerprint × artifact set → the reply as per-function
+//!    report fragments plus the artifacts tail. Fragments are interned
+//!    by text hash, so modules that share a function share its rendered
+//!    report. An exact resubmission skips IR parsing and compiling; only
+//!    the JSON envelope is decoded;
 //! 2. the function-level [`ArtifactCache`] inside the driver, so a
 //!    module that shares *some* functions with earlier traffic
 //!    recompiles only the changed ones.
 //!
-//! Replies carry no wall-clock fields, so both levels return bytes
-//! identical to the cold compile that populated them.
+//! Reports carry no wall-clock fields (the `html` explorer's stage
+//! timings are measured once and cached with the function), so both
+//! levels return bytes identical to the cold compile that populated
+//! them.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
 use snslp_bench::attrib::{attrib_function, render_html, AttribReport};
@@ -56,7 +63,8 @@ use snslp_trace::serve::{EVENT_BUSY, EVENT_MEMO_HIT, SPAN_BATCH, SPAN_CONNECTION
 use snslp_trace::{trace_event, Span};
 
 use crate::proto::{
-    address, failure_body, ok_body, stats_body, CompileRequest, Request, STATUS_BUSY, STATUS_ERROR,
+    address, artifacts_tail, failure_body, ok_line, report_fragment, stats_body, CompileRequest,
+    Request, STATUS_BUSY, STATUS_ERROR,
 };
 use crate::telemetry::{ReplyClass, ReqKind, ReqTelem, Stage, Telemetry, TelemetrySnapshot};
 
@@ -125,11 +133,57 @@ struct Shard {
 struct Memo {
     map: FxHashMap<u128, (u64, Arc<MemoEntry>)>,
     tick: u64,
+    fragments: Fragments,
 }
 
+/// A memoized `ok` reply, kept in pieces so that modules sharing a
+/// function share that function's rendered report.
 struct MemoEntry {
-    body: String,
-    num_functions: u64,
+    /// One [`report_fragment`] per function, in module order.
+    fragments: Vec<Arc<str>>,
+    /// The [`artifacts_tail`] after the `reports` array.
+    tail: Box<str>,
+}
+
+impl MemoEntry {
+    fn line(&self, id: u64) -> String {
+        ok_line(id, &self.fragments, &self.tail)
+    }
+}
+
+/// The intern table behind [`MemoEntry::fragments`]: report text hash →
+/// the one live copy of that text. Only memo entries hold fragments
+/// strongly, so a slot dies with the last entry using it. A dead `Weak`
+/// still pins its allocation, so after each put the table drops dead
+/// slots once it has doubled since the last prune: it never holds more
+/// than twice the fragments that were live then.
+#[derive(Default)]
+struct Fragments {
+    map: FxHashMap<u128, Weak<str>>,
+    live_at_prune: usize,
+}
+
+impl Fragments {
+    fn intern(&mut self, hash: u128, text: String) -> Arc<str> {
+        if let Some(live) = self.map.get(&hash).and_then(Weak::upgrade) {
+            if *live == *text {
+                return live;
+            }
+            // A hash collision: keep the resident copy, store this one
+            // unshared.
+            return text.into();
+        }
+        let fragment: Arc<str> = text.into();
+        self.map.insert(hash, Arc::downgrade(&fragment));
+        fragment
+    }
+
+    fn prune_if_doubled(&mut self) {
+        if self.map.len() > 2 * self.live_at_prune {
+            self.map.retain(|_, w| w.strong_count() > 0);
+            self.live_at_prune = self.map.len();
+        }
+    }
 }
 
 /// Shared server state: scheduler, caches, telemetry.
@@ -229,11 +283,24 @@ impl ServerState {
         Some(entry.clone())
     }
 
-    fn memo_put(&self, key: u128, entry: MemoEntry) {
+    /// Memoizes a rendered reply and returns the stored entry. Hashing
+    /// happens before the lock; interning and eviction under it.
+    fn memo_put(&self, key: u128, fragments: Vec<String>, tail: String) -> Arc<MemoEntry> {
+        let hashed: Vec<(u128, String)> = fragments
+            .into_iter()
+            .map(|f| (stable_text_hash(&f), f))
+            .collect();
         let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = Arc::new(MemoEntry {
+            fragments: hashed
+                .into_iter()
+                .map(|(hash, f)| memo.fragments.intern(hash, f))
+                .collect(),
+            tail: tail.into(),
+        });
         memo.tick += 1;
         let tick = memo.tick;
-        memo.map.insert(key, (tick, Arc::new(entry)));
+        memo.map.insert(key, (tick, entry.clone()));
         while memo.map.len() > self.cfg.memo_entries.max(1) {
             let Some(oldest) = memo
                 .map
@@ -245,6 +312,8 @@ impl ServerState {
             };
             memo.map.remove(&oldest);
         }
+        memo.fragments.prune_if_doubled();
+        entry
     }
 
     // -- request intake -----------------------------------------------
@@ -262,11 +331,7 @@ impl ServerState {
     ) {
         let request = match Request::parse(line) {
             Err((id, msg)) => {
-                telem.mark(Stage::Parse);
-                telem.set_id(id.unwrap_or(0));
-                let line = address(id.unwrap_or(0), &failure_body(STATUS_ERROR, &msg));
-                telem.mark(Stage::Render);
-                let _ = reply.send(ReplyMsg { line, telem });
+                reply_invalid(id.unwrap_or(0), &msg, telem, &reply);
                 return;
             }
             Ok(r) => {
@@ -308,12 +373,13 @@ impl ServerState {
             telem.memo = true;
             telem.class = ReplyClass::Ok;
             telem.mark(Stage::Compile);
-            // A memo hit answers num_functions function lookups without
+            // A memo hit answers one function lookup per function without
             // ever reaching the function cache; account for them so the
             // hit rate means "lookups answered without compiling".
-            self.cache.note_upstream_hits(entry.num_functions);
-            trace_event!(EVENT_MEMO_HIT, "id" => id, "functions" => entry.num_functions);
-            let line = address(id, &entry.body);
+            let functions = entry.fragments.len() as u64;
+            self.cache.note_upstream_hits(functions);
+            trace_event!(EVENT_MEMO_HIT, "id" => id, "functions" => functions);
+            let line = entry.line(id);
             telem.mark(Stage::Render);
             let _ = reply.send(ReplyMsg { line, telem });
             return;
@@ -498,25 +564,20 @@ impl ServerState {
                 job.telem.mark(Stage::Compile);
                 let job_reports = &reports[start..start + len];
                 let job_functions = &module.functions()[start..start + len];
-                let body = match build_ok_body(&job, job_reports, job_functions) {
-                    Ok((body, native)) => {
+                let line = match build_artifacts(&job, job_reports, job_functions) {
+                    Ok((artifacts, native)) => {
                         job.telem.note_native(native.runs, native.ops);
-                        self.memo_put(
-                            job.memo_key,
-                            MemoEntry {
-                                body: body.clone(),
-                                num_functions: len as u64,
-                            },
-                        );
+                        let fragments = job_reports.iter().map(report_fragment).collect();
+                        let entry =
+                            self.memo_put(job.memo_key, fragments, artifacts_tail(&artifacts));
                         job.telem.class = ReplyClass::Ok;
-                        body
+                        entry.line(job.id)
                     }
                     Err(e) => {
                         job.telem.class = ReplyClass::Error;
-                        failure_body(STATUS_ERROR, &e)
+                        address(job.id, &failure_body(STATUS_ERROR, &e))
                     }
                 };
-                let line = address(job.id, &body);
                 job.telem.mark(Stage::Render);
                 let Job { reply, telem, .. } = job;
                 outgoing.push((reply, ReplyMsg { line, telem }));
@@ -543,13 +604,13 @@ struct NativeExec {
     ops: u64,
 }
 
-/// Renders a job's `ok` reply body, including any requested artifacts,
-/// plus the native-execution totals for the telemetry counters.
-fn build_ok_body(
+/// Renders a job's requested artifacts, plus the native-execution totals
+/// for the telemetry counters.
+fn build_artifacts(
     job: &Job,
     reports: &[FunctionReport],
     functions: &[Function],
-) -> Result<(String, NativeExec), String> {
+) -> Result<(Vec<(String, String)>, NativeExec), String> {
     let mut native = NativeExec::default();
     let mut artifacts: Vec<(String, String)> = Vec::new();
     if job.compile.artifacts.codegen {
@@ -591,7 +652,7 @@ fn build_ok_body(
         native = exec;
         artifacts.push(("hot".to_string(), text));
     }
-    Ok((ok_body(reports, &artifacts), native))
+    Ok((artifacts, native))
 }
 
 /// The `hot` artifact: every function compiled with instrumented-hotness
@@ -710,9 +771,50 @@ fn dynstats_artifact(
     Ok(Json::Obj(rows).render_compact())
 }
 
+/// Answers a line that did not make a request (malformed JSON, a bad
+/// field, an oversized line) with an `error` reply. Its telemetry keeps
+/// the `Invalid` kind, so it counts under `invalid_requests`.
+fn reply_invalid(id: u64, msg: &str, mut telem: ReqTelem, reply: &mpsc::Sender<ReplyMsg>) {
+    telem.mark(Stage::Parse);
+    telem.set_id(id);
+    let line = address(id, &failure_body(STATUS_ERROR, msg));
+    telem.mark(Stage::Render);
+    let _ = reply.send(ReplyMsg { line, telem });
+}
+
 // ---------------------------------------------------------------------
 // Connections and the server handle.
 // ---------------------------------------------------------------------
+
+/// The longest request line a connection accepts, not counting its `\n`
+/// or `\r\n` ending. A longer line is answered with an `error` reply and
+/// skipped; the connection stays open.
+pub const MAX_REQUEST_LINE: usize = 8 << 20;
+
+/// Consumes input through the next newline (or to end of input) and
+/// returns how many bytes it skipped.
+fn skip_line(reader: &mut impl BufRead) -> usize {
+    let mut skipped = 0;
+    loop {
+        let Ok(avail) = reader.fill_buf() else {
+            return skipped;
+        };
+        if avail.is_empty() {
+            return skipped;
+        }
+        match avail.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return skipped + i + 1;
+            }
+            None => {
+                let n = avail.len();
+                reader.consume(n);
+                skipped += n;
+            }
+        }
+    }
+}
 
 /// Serves one connection: reads request lines, answers in request order.
 ///
@@ -721,7 +823,11 @@ fn dynstats_artifact(
 /// onto the writer's queue; the writer blocks on the *oldest* pending
 /// reply, so out-of-order compile completions are reordered before
 /// hitting the wire.
-pub fn serve_connection(state: &Arc<ServerState>, reader: impl BufRead, writer: impl Write + Send) {
+pub fn serve_connection(
+    state: &Arc<ServerState>,
+    mut reader: impl BufRead,
+    writer: impl Write + Send,
+) {
     let span = Span::enter(SPAN_CONNECTION);
     let writer = Mutex::new(writer);
     // Replies handed to the writer thread but not yet written. While this
@@ -761,14 +867,44 @@ pub fn serve_connection(state: &Arc<ServerState>, reader: impl BufRead, writer: 
                 pending_writes.fetch_sub(1, Ordering::Release);
             }
         });
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        // One buffer for every line of the connection, read at most two
+        // bytes past the cap: room for the "\r\n" after a line at the cap.
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let limit = MAX_REQUEST_LINE as u64 + 2;
+            match Read::take(&mut reader, limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
             }
-            let telem = ReqTelem::start(line.len() as u64 + 1);
+            let wire_len = buf.len();
+            let terminated = buf.last() == Some(&b'\n');
+            if terminated {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            }
             let (tx, rx) = mpsc::channel();
-            state.handle_line(&line, telem, tx);
+            if buf.len() > MAX_REQUEST_LINE {
+                let skipped = if terminated {
+                    0
+                } else {
+                    skip_line(&mut reader)
+                };
+                let telem = ReqTelem::start((wire_len + skipped) as u64);
+                let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                reply_invalid(0, &msg, telem, &tx);
+            } else {
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    break;
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let telem = ReqTelem::start(line.len() as u64 + 1);
+                state.handle_line(line, telem, tx);
+            }
             // Already answered (stats, memo hit, busy, error) with
             // nothing queued ahead? Write it in-line; ordering is safe
             // because the writer has provably finished everything else.
@@ -900,5 +1036,179 @@ impl Server {
             let _ = handle.join();
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The whole-request memo stores each reply as per-function report
+    //! fragments shared between entries. These tests pin what that layout
+    //! must preserve: replies byte-identical to a cold compile (up to the
+    //! `html` explorer's measured stage timings), one allocation per
+    //! distinct report, entries independent under eviction, and an
+    //! intern table bounded by the live fragments.
+
+    use super::*;
+    use crate::{Client, STATUS_OK};
+
+    const SEED: u64 = 0xF4A6;
+    const MODE: &str = "snslp";
+    const TARGET: &str = "sse2";
+
+    /// A module of the fuzz functions at `indices`.
+    fn module(indices: &[u64]) -> String {
+        let mut text = String::new();
+        for &i in indices {
+            text.push_str(&snslp_fuzz::generate(SEED, i).function.to_string());
+            text.push('\n');
+        }
+        text
+    }
+
+    /// The memoized fragments of `text`'s reply, if it is memoized.
+    /// Neither counts as a hit nor refreshes the entry's recency.
+    fn memo_fragments(
+        state: &ServerState,
+        text: &str,
+        artifacts: &[&str],
+    ) -> Option<Vec<Arc<str>>> {
+        let line = Request::render_compile(1, text, MODE, TARGET, artifacts);
+        let Ok(Request::Compile { compile, .. }) = Request::parse(&line) else {
+            panic!("not a compile request: {line}");
+        };
+        let key = ServerState::memo_key(
+            stable_text_hash(&compile.module_text),
+            compile.config().fingerprint(),
+            &compile,
+        );
+        let memo = state.memo.lock().unwrap();
+        memo.map.get(&key).map(|(_, e)| e.fragments.clone())
+    }
+
+    /// The intern table's `(slots, live)`; dead slots await a prune.
+    fn fragment_slots(state: &ServerState) -> (usize, usize) {
+        let memo = state.memo.lock().unwrap();
+        let map = &memo.fragments.map;
+        let live = map.values().filter(|w| w.strong_count() > 0).count();
+        (map.len(), live)
+    }
+
+    /// Sends `text` with id 1 and returns the raw `ok` reply line.
+    fn compile(client: &mut Client, text: &str, artifacts: &[&str]) -> String {
+        let line = Request::render_compile(1, text, MODE, TARGET, artifacts);
+        let reply = client.round_trip(&line).expect("round trip");
+        assert_eq!(reply.status, STATUS_OK, "{}", reply.raw);
+        reply.raw
+    }
+
+    fn connect(server: &Server) -> Client {
+        Client::from_stream(server.connect_in_process().expect("connect"))
+    }
+
+    /// The reply a fresh server gives: nothing memoized, nothing cached.
+    fn cold(text: &str, artifacts: &[&str]) -> String {
+        let server = Server::start(ServeConfig::default());
+        let raw = compile(&mut connect(&server), text, artifacts);
+        server.shutdown();
+        raw
+    }
+
+    /// `reply` without the wall-clock compile-stage timings that the
+    /// `html` explorer prints per function. They are measured once, when
+    /// a function is first compiled, and cached with its report, so
+    /// replies agree on them within a server but not with a fresh one.
+    fn without_stage_timings(reply: &str) -> String {
+        const START: &str = "compile stages (&micro;s):";
+        let mut out = String::new();
+        let mut rest = reply;
+        while let Some(i) = rest.find(START) {
+            out.push_str(&rest[..i]);
+            rest = &rest[i..];
+            rest = &rest[rest.find("</p>").expect("stage line ends")..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn memo_hits_on_shared_functions_match_cold_compiles() {
+        let first = module(&[0, 1, 2]);
+        let second = module(&[0, 1, 3]);
+        for artifacts in [&[][..], &["codegen"], &["html"]] {
+            let server = Server::start(ServeConfig::default());
+            let mut client = connect(&server);
+            compile(&mut client, &first, artifacts);
+            let miss = compile(&mut client, &second, artifacts);
+            let hits = server.state().memo_hits();
+            let hit = compile(&mut client, &second, artifacts);
+            assert_eq!(server.state().memo_hits(), hits + 1, "{artifacts:?}");
+            assert_eq!(hit, miss, "{artifacts:?}: memo reply");
+            let want = without_stage_timings(&cold(&second, artifacts));
+            assert_eq!(without_stage_timings(&hit), want, "{artifacts:?}");
+            if artifacts != ["html"] {
+                assert_eq!(hit, cold(&second, artifacts), "{artifacts:?}");
+            }
+
+            // The two functions both modules contain are stored once.
+            let state = server.state();
+            let a = memo_fragments(state, &first, artifacts).expect("first module memoized");
+            let b = memo_fragments(state, &second, artifacts).expect("second module memoized");
+            assert_eq!((a.len(), b.len()), (3, 3));
+            assert!(Arc::ptr_eq(&a[0], &b[0]) && Arc::ptr_eq(&a[1], &b[1]));
+            assert!(!Arc::ptr_eq(&a[2], &b[2]));
+            drop(client);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn evicting_an_entry_leaves_sharers_intact() {
+        let first = module(&[0, 1, 2]);
+        let second = module(&[0, 1, 3]);
+        let other = module(&[4, 5, 6]);
+        let server = Server::start(ServeConfig {
+            memo_entries: 2,
+            ..ServeConfig::default()
+        });
+        let mut client = connect(&server);
+        compile(&mut client, &first, &[]);
+        let reply = compile(&mut client, &second, &[]);
+        // The memo holds two entries: this evicts `first`, the oldest.
+        compile(&mut client, &other, &[]);
+        let state = server.state();
+        assert!(memo_fragments(state, &first, &[]).is_none());
+        assert!(memo_fragments(state, &second, &[]).is_some());
+
+        let hits = state.memo_hits();
+        assert_eq!(compile(&mut client, &second, &[]), reply);
+        assert_eq!(state.memo_hits(), hits + 1);
+        assert_eq!(reply, cold(&second, &[]));
+        drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn intern_table_stays_within_twice_the_live_fragments() {
+        const ENTRIES: usize = 4;
+        let server = Server::start(ServeConfig {
+            memo_entries: ENTRIES,
+            ..ServeConfig::default()
+        });
+        let mut client = connect(&server);
+        // A sliding window: each module drops one function and adds one,
+        // so every request after the fourth evicts an entry.
+        for k in 0..40 {
+            compile(&mut client, &module(&[k, k + 1, k + 2]), &[]);
+            let (slots, live) = fragment_slots(server.state());
+            assert!(live <= 3 * ENTRIES, "module {k}: {live} live fragments");
+            assert!(
+                slots <= 2 * live,
+                "module {k}: {slots} slots for {live} live"
+            );
+        }
+        // The four newest modules span six distinct functions.
+        assert_eq!(fragment_slots(server.state()).1, ENTRIES + 2);
+        drop(client);
+        server.shutdown();
     }
 }
