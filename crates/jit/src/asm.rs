@@ -18,17 +18,29 @@ pub const RAX: Gpr = Gpr(0);
 pub const RCX: Gpr = Gpr(1);
 /// `rdx`: high half for `idiv`.
 pub const RDX: Gpr = Gpr(2);
+/// `rbx`: register-cache GPR (callee-saved).
+pub const RBX: Gpr = Gpr(3);
 /// `rsp`: stack pointer; base of the value-slot frame.
 pub const RSP: Gpr = Gpr(4);
-/// `rbp`: saved for frame-chain hygiene only; never referenced.
+/// `rbp`: register-cache GPR (callee-saved).
 pub const RBP: Gpr = Gpr(5);
-/// `rsi`: incoming argument-array pointer (prologue only).
+/// `rsi`: incoming argument-array pointer in the prologue, then a
+/// register-cache GPR.
 pub const RSI: Gpr = Gpr(6);
-/// `rdi`: incoming context pointer (prologue only).
+/// `rdi`: incoming context pointer in the prologue, then a
+/// register-cache GPR.
 pub const RDI: Gpr = Gpr(7);
-/// `r12`: pinned guest-memory base pointer.
+/// `r8`: register-cache GPR.
+pub const R8: Gpr = Gpr(8);
+/// `r9`: register-cache GPR.
+pub const R9: Gpr = Gpr(9);
+/// `r10`: register-cache GPR.
+pub const R10: Gpr = Gpr(10);
+/// `r11`: register-cache GPR.
+pub const R11: Gpr = Gpr(11);
+/// `r12`: pinned guest-memory base pointer, biased past the null page.
 pub const R12: Gpr = Gpr(12);
-/// `r13`: pinned guest-memory size in bytes.
+/// `r13`: register-cache GPR (callee-saved).
 pub const R13: Gpr = Gpr(13);
 /// `r14`: pinned remaining-fuel counter.
 pub const R14: Gpr = Gpr(14);
@@ -36,8 +48,8 @@ pub const R14: Gpr = Gpr(14);
 pub const R15: Gpr = Gpr(15);
 
 /// SSE register numbers. The lowering uses `xmm0`/`xmm1` as arithmetic
-/// scratch, `xmm2`–`xmm5` for lane accumulation, and `xmm7` as the
-/// wide-copy scratch; nothing is live across an instruction boundary.
+/// scratch, `xmm7` as the wide-copy scratch, and every other register
+/// as a register-cache XMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xmm(pub u8);
 
@@ -45,14 +57,6 @@ pub struct Xmm(pub u8);
 pub const XMM0: Xmm = Xmm(0);
 /// `xmm1`: secondary float scratch / helper-call argument.
 pub const XMM1: Xmm = Xmm(1);
-/// `xmm2`: lane accumulator (never live across a helper call).
-pub const XMM2: Xmm = Xmm(2);
-/// `xmm3`: lane accumulator.
-pub const XMM3: Xmm = Xmm(3);
-/// `xmm4`: lane accumulator.
-pub const XMM4: Xmm = Xmm(4);
-/// `xmm5`: lane accumulator.
-pub const XMM5: Xmm = Xmm(5);
 /// `xmm7`: dedicated 16-byte copy scratch.
 pub const XMM7: Xmm = Xmm(7);
 
@@ -85,6 +89,8 @@ pub struct Asm {
     code: Vec<u8>,
     labels: Vec<Option<usize>>,
     fixups: Vec<(usize, usize)>,
+    frame_loads: u32,
+    frame_stores: u32,
 }
 
 impl Asm {
@@ -96,6 +102,12 @@ impl Asm {
     /// Current code offset (next byte emitted lands here).
     pub fn here(&self) -> usize {
         self.code.len()
+    }
+
+    /// Static counts of emitted instructions that read and that write
+    /// `[rsp + disp]`, i.e. the frame's value slots.
+    pub fn frame_traffic(&self) -> (u32, u32) {
+        (self.frame_loads, self.frame_stores)
     }
 
     /// Creates an unbound label.
@@ -162,6 +174,18 @@ impl Asm {
         self.modrm_mem(reg, base.0, disp);
     }
 
+    /// [`Self::op_rm`] for an instruction that reads memory.
+    fn load_rm(&mut self, prefixes: &[u8], w: bool, opcode: &[u8], reg: u8, base: Gpr, disp: i32) {
+        self.frame_loads += u32::from(base == RSP);
+        self.op_rm(prefixes, w, opcode, reg, base, disp);
+    }
+
+    /// [`Self::op_rm`] for an instruction that writes memory.
+    fn store_rm(&mut self, prefixes: &[u8], w: bool, opcode: &[u8], reg: u8, base: Gpr, disp: i32) {
+        self.frame_stores += u32::from(base == RSP);
+        self.op_rm(prefixes, w, opcode, reg, base, disp);
+    }
+
     // ---- GPR moves ----
 
     /// `mov dst, src` (64-bit).
@@ -169,36 +193,52 @@ impl Asm {
         self.op_rr(&[], true, &[0x8B], dst.0, src.0);
     }
 
-    /// `mov dst, imm64`.
+    /// `dst = imm`, in the shortest encoding: `mov r32, imm32` when the
+    /// value zero-extends from 32 bits, `mov r/m64, simm32` when it
+    /// sign-extends, `movabs` otherwise.
     pub fn mov_ri(&mut self, dst: Gpr, imm: u64) {
-        self.prefix_rex_op(&[], true, 0, dst.0, &[]);
-        self.byte(0xB8 + (dst.0 & 7));
-        self.bytes(&imm.to_le_bytes());
+        if let Ok(v) = u32::try_from(imm) {
+            self.prefix_rex_op(&[], false, 0, dst.0, &[]);
+            self.byte(0xB8 + (dst.0 & 7));
+            self.bytes(&v.to_le_bytes());
+        } else if let Ok(v) = i32::try_from(imm as i64) {
+            self.op_rr(&[], true, &[0xC7], 0, dst.0);
+            self.bytes(&v.to_le_bytes());
+        } else {
+            self.prefix_rex_op(&[], true, 0, dst.0, &[]);
+            self.byte(0xB8 + (dst.0 & 7));
+            self.bytes(&imm.to_le_bytes());
+        }
+    }
+
+    /// `lea dst, [base + disp]`.
+    pub fn lea(&mut self, dst: Gpr, base: Gpr, disp: i32) {
+        self.op_rm(&[], true, &[0x8D], dst.0, base, disp);
     }
 
     /// `mov dst, qword [base + disp]`.
     pub fn mov_load(&mut self, dst: Gpr, base: Gpr, disp: i32) {
-        self.op_rm(&[], true, &[0x8B], dst.0, base, disp);
+        self.load_rm(&[], true, &[0x8B], dst.0, base, disp);
     }
 
     /// `mov qword [base + disp], src`.
     pub fn mov_store(&mut self, base: Gpr, disp: i32, src: Gpr) {
-        self.op_rm(&[], true, &[0x89], src.0, base, disp);
+        self.store_rm(&[], true, &[0x89], src.0, base, disp);
     }
 
     /// `mov dst32, dword [base + disp]` (zero-extends).
     pub fn mov32_load(&mut self, dst: Gpr, base: Gpr, disp: i32) {
-        self.op_rm(&[], false, &[0x8B], dst.0, base, disp);
+        self.load_rm(&[], false, &[0x8B], dst.0, base, disp);
     }
 
     /// `mov dword [base + disp], src32`.
     pub fn mov32_store(&mut self, base: Gpr, disp: i32, src: Gpr) {
-        self.op_rm(&[], false, &[0x89], src.0, base, disp);
+        self.store_rm(&[], false, &[0x89], src.0, base, disp);
     }
 
     /// `movsxd dst, dword [base + disp]` (sign-extends).
     pub fn movsxd_load(&mut self, dst: Gpr, base: Gpr, disp: i32) {
-        self.op_rm(&[], true, &[0x63], dst.0, base, disp);
+        self.load_rm(&[], true, &[0x63], dst.0, base, disp);
     }
 
     /// `inc qword [base + disp]` — the instrumented-hotness block
@@ -285,6 +325,32 @@ impl Asm {
         self.byte(imm as u8);
     }
 
+    /// `cmp a, qword [base + disp]`.
+    pub fn cmp_rm(&mut self, a: Gpr, base: Gpr, disp: i32) {
+        self.load_rm(&[], true, &[0x3B], a.0, base, disp);
+    }
+
+    /// Group-1 ALU op with an immediate (`/ext`), imm8 form when it fits.
+    fn alu_ri(&mut self, ext: u8, r: Gpr, imm: i32) {
+        if let Ok(v) = i8::try_from(imm) {
+            self.op_rr(&[], true, &[0x83], ext, r.0);
+            self.byte(v as u8);
+        } else {
+            self.op_rr(&[], true, &[0x81], ext, r.0);
+            self.bytes(&imm.to_le_bytes());
+        }
+    }
+
+    /// `add r, imm`.
+    pub fn add_ri(&mut self, r: Gpr, imm: i32) {
+        self.alu_ri(0, r, imm);
+    }
+
+    /// `sub r, imm`.
+    pub fn sub_ri(&mut self, r: Gpr, imm: i32) {
+        self.alu_ri(5, r, imm);
+    }
+
     /// `test a, a` (64-bit).
     pub fn test_rr(&mut self, a: Gpr, b: Gpr) {
         self.op_rr(&[], true, &[0x85], b.0, a.0);
@@ -318,6 +384,11 @@ impl Asm {
         self.bytes(&imm.to_le_bytes());
     }
 
+    /// `nop`.
+    pub fn nop(&mut self) {
+        self.byte(0x90);
+    }
+
     /// `push r`.
     pub fn push_r(&mut self, r: Gpr) {
         if r.0 >= 8 {
@@ -332,11 +403,6 @@ impl Asm {
             self.byte(0x41);
         }
         self.byte(0x58 + (r.0 & 7));
-    }
-
-    /// `dec r`.
-    pub fn dec_r(&mut self, r: Gpr) {
-        self.op_rr(&[], true, &[0xFF], 1, r.0);
     }
 
     // ---- control flow ----
@@ -369,47 +435,47 @@ impl Asm {
 
     /// `movss dst, dword [base + disp]`.
     pub fn movss_load(&mut self, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(&[0xF3], false, &[0x0F, 0x10], dst.0, base, disp);
+        self.load_rm(&[0xF3], false, &[0x0F, 0x10], dst.0, base, disp);
     }
 
     /// `movss dword [base + disp], src`.
     pub fn movss_store(&mut self, base: Gpr, disp: i32, src: Xmm) {
-        self.op_rm(&[0xF3], false, &[0x0F, 0x11], src.0, base, disp);
+        self.store_rm(&[0xF3], false, &[0x0F, 0x11], src.0, base, disp);
     }
 
     /// `movsd dst, qword [base + disp]`.
     pub fn movsd_load(&mut self, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(&[0xF2], false, &[0x0F, 0x10], dst.0, base, disp);
+        self.load_rm(&[0xF2], false, &[0x0F, 0x10], dst.0, base, disp);
     }
 
     /// `movsd qword [base + disp], src`.
     pub fn movsd_store(&mut self, base: Gpr, disp: i32, src: Xmm) {
-        self.op_rm(&[0xF2], false, &[0x0F, 0x11], src.0, base, disp);
+        self.store_rm(&[0xF2], false, &[0x0F, 0x11], src.0, base, disp);
     }
 
     /// `movups dst, xmmword [base + disp]` (unaligned 16-byte load).
     pub fn movups_load(&mut self, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(&[], false, &[0x0F, 0x10], dst.0, base, disp);
+        self.load_rm(&[], false, &[0x0F, 0x10], dst.0, base, disp);
     }
 
     /// `movups xmmword [base + disp], src`.
     pub fn movups_store(&mut self, base: Gpr, disp: i32, src: Xmm) {
-        self.op_rm(&[], false, &[0x0F, 0x11], src.0, base, disp);
+        self.store_rm(&[], false, &[0x0F, 0x11], src.0, base, disp);
     }
 
     /// `movlpd dst, qword [base + disp]` (low half; high half preserved).
     pub fn movlpd_load(&mut self, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(&[0x66], false, &[0x0F, 0x12], dst.0, base, disp);
+        self.load_rm(&[0x66], false, &[0x0F, 0x12], dst.0, base, disp);
     }
 
     /// `movhpd dst, qword [base + disp]` (high half; low half preserved).
     pub fn movhpd_load(&mut self, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(&[0x66], false, &[0x0F, 0x16], dst.0, base, disp);
+        self.load_rm(&[0x66], false, &[0x0F, 0x16], dst.0, base, disp);
     }
 
     /// `movhpd qword [base + disp], src` (stores the high half).
     pub fn movhpd_store(&mut self, base: Gpr, disp: i32, src: Xmm) {
-        self.op_rm(&[0x66], false, &[0x0F, 0x17], src.0, base, disp);
+        self.store_rm(&[0x66], false, &[0x0F, 0x17], src.0, base, disp);
     }
 
     /// `unpcklpd dst, src`: `dst = [dst.lo64, src.lo64]`.
@@ -427,9 +493,43 @@ impl Asm {
         self.op_rr(&[], false, &[0x0F, 0x16], dst.0, src.0);
     }
 
+    /// `movaps dst, src` (whole-register copy).
+    pub fn movaps_rr(&mut self, dst: Xmm, src: Xmm) {
+        self.op_rr(&[], false, &[0x0F, 0x28], dst.0, src.0);
+    }
+
+    /// `movsd dst, src`: `dst.lo64 = src.lo64`, high half preserved.
+    pub fn movsd_rr(&mut self, dst: Xmm, src: Xmm) {
+        self.op_rr(&[0xF2], false, &[0x0F, 0x10], dst.0, src.0);
+    }
+
+    /// `movhlps dst, src`: `dst.lo64 = src.hi64`.
+    pub fn movhlps(&mut self, dst: Xmm, src: Xmm) {
+        self.op_rr(&[], false, &[0x0F, 0x12], dst.0, src.0);
+    }
+
+    /// `shufpd dst, src, imm`: `dst = [dst[imm & 1], src[(imm >> 1) & 1]]`.
+    pub fn shufpd(&mut self, dst: Xmm, src: Xmm, imm: u8) {
+        self.op_rr(&[0x66], false, &[0x0F, 0xC6], dst.0, src.0);
+        self.byte(imm);
+    }
+
     /// `pshufd dst, src, imm` (full 4x32 lane permute).
     pub fn pshufd(&mut self, dst: Xmm, src: Xmm, imm: u8) {
         self.op_rr(&[0x66], false, &[0x0F, 0x70], dst.0, src.0);
+        self.byte(imm);
+    }
+
+    /// `cmpps`/`cmppd dst, src, pred` (with `prefix` empty or `66`):
+    /// each lane of `dst` becomes all-ones where the predicate holds.
+    pub fn cmpp(&mut self, prefix: &[u8], dst: Xmm, src: Xmm, pred: u8) {
+        self.op_rr(prefix, false, &[0x0F, 0xC2], dst.0, src.0);
+        self.byte(pred);
+    }
+
+    /// `psrld x, imm` (logical right shift of each 32-bit lane).
+    pub fn psrld(&mut self, x: Xmm, imm: u8) {
+        self.op_rr(&[0x66], false, &[0x0F, 0x72], 2, x.0);
         self.byte(imm);
     }
 
@@ -440,7 +540,7 @@ impl Asm {
 
     /// Scalar/packed SSE arithmetic with a memory source operand.
     pub fn sse_rm(&mut self, prefix: &[u8], op: u8, dst: Xmm, base: Gpr, disp: i32) {
-        self.op_rm(prefix, false, &[0x0F, op], dst.0, base, disp);
+        self.load_rm(prefix, false, &[0x0F, op], dst.0, base, disp);
     }
 
     /// `cvtsi2sd dst, src64`.
@@ -466,6 +566,16 @@ impl Asm {
     /// `movd dst, src32`.
     pub fn movd_xr(&mut self, dst: Xmm, src: Gpr) {
         self.op_rr(&[0x66], false, &[0x0F, 0x6E], dst.0, src.0);
+    }
+
+    /// `movq dst64, src` (low 64 bits of an XMM register into a GPR).
+    pub fn movq_rx(&mut self, dst: Gpr, src: Xmm) {
+        self.op_rr(&[0x66], true, &[0x0F, 0x7E], src.0, dst.0);
+    }
+
+    /// `movd dst32, src` (low 32 bits, zero-extended).
+    pub fn movd_rx(&mut self, dst: Gpr, src: Xmm) {
+        self.op_rr(&[0x66], false, &[0x0F, 0x7E], src.0, dst.0);
     }
 
     /// `ucomisd a, b`.
@@ -512,7 +622,27 @@ mod tests {
         assert_eq!(enc(|a| a.idiv_r(RCX)), vec![0x48, 0xF7, 0xF9]);
         assert_eq!(enc(|a| a.push_r(R12)), vec![0x41, 0x54]);
         assert_eq!(enc(|a| a.setcc(Cc::E, RAX)), vec![0x0F, 0x94, 0xC0]);
-        assert_eq!(enc(|a| a.dec_r(R14)), vec![0x49, 0xFF, 0xCE]);
+        assert_eq!(enc(|a| a.sub_ri(R14, 3)), vec![0x49, 0x83, 0xEE, 0x03]);
+        assert_eq!(
+            enc(|a| a.sub_ri(RCX, 191)),
+            vec![0x48, 0x81, 0xE9, 0xBF, 0, 0, 0]
+        );
+        assert_eq!(enc(|a| a.add_ri(RAX, 64)), vec![0x48, 0x83, 0xC0, 0x40]);
+        // Short immediates: zero-extended imm32, sign-extended imm32.
+        assert_eq!(enc(|a| a.mov_ri(R9, 8)), vec![0x41, 0xB9, 8, 0, 0, 0]);
+        assert_eq!(
+            enc(|a| a.mov_ri(RAX, u64::MAX)),
+            vec![0x48, 0xC7, 0xC0, 0xFF, 0xFF, 0xFF, 0xFF]
+        );
+        // lea rax, [rsi - 64]; cmp rax, [rsp + 16]
+        assert_eq!(
+            enc(|a| a.lea(RAX, RSI, -64)),
+            vec![0x48, 0x8D, 0x86, 0xC0, 0xFF, 0xFF, 0xFF]
+        );
+        assert_eq!(
+            enc(|a| a.cmp_rm(RAX, RSP, 16)),
+            vec![0x48, 0x3B, 0x84, 0x24, 0x10, 0, 0, 0]
+        );
         // inc qword [rax + 8] — REX.W FF /0 with a disp32 ModRM.
         assert_eq!(
             enc(|a| a.inc_mem(RAX, 8)),
@@ -561,11 +691,44 @@ mod tests {
             enc(|a| a.unpcklpd(XMM0, XMM1)),
             vec![0x66, 0x0F, 0x14, 0xC1]
         );
-        assert_eq!(enc(|a| a.unpcklps(XMM2, XMM3)), vec![0x0F, 0x14, 0xD3]);
-        assert_eq!(enc(|a| a.movlhps(XMM2, XMM4)), vec![0x0F, 0x16, 0xD4]);
+        assert_eq!(enc(|a| a.unpcklps(Xmm(2), Xmm(3))), vec![0x0F, 0x14, 0xD3]);
+        assert_eq!(enc(|a| a.movlhps(Xmm(2), Xmm(4))), vec![0x0F, 0x16, 0xD4]);
         assert_eq!(
             enc(|a| a.pshufd(XMM7, XMM7, 0)),
             vec![0x66, 0x0F, 0x70, 0xFF, 0x00]
+        );
+        assert_eq!(
+            enc(|a| a.movaps_rr(Xmm(9), XMM1)),
+            vec![0x44, 0x0F, 0x28, 0xC9]
+        );
+        assert_eq!(
+            enc(|a| a.movsd_rr(XMM0, XMM1)),
+            vec![0xF2, 0x0F, 0x10, 0xC1]
+        );
+        assert_eq!(enc(|a| a.movhlps(XMM0, XMM1)), vec![0x0F, 0x12, 0xC1]);
+        assert_eq!(
+            enc(|a| a.shufpd(XMM0, XMM1, 2)),
+            vec![0x66, 0x0F, 0xC6, 0xC1, 0x02]
+        );
+        // movq r8, xmm2 / movd eax, xmm1
+        assert_eq!(
+            enc(|a| a.movq_rx(R8, Xmm(2))),
+            vec![0x66, 0x49, 0x0F, 0x7E, 0xD0]
+        );
+        assert_eq!(enc(|a| a.movd_rx(RAX, XMM1)), vec![0x66, 0x0F, 0x7E, 0xC8]);
+        // cmpps xmm0, xmm1, 1 (lt); psrld xmm9, 31
+        assert_eq!(
+            enc(|a| a.cmpp(&[], XMM0, XMM1, 1)),
+            vec![0x0F, 0xC2, 0xC1, 0x01]
+        );
+        assert_eq!(
+            enc(|a| a.psrld(Xmm(9), 31)),
+            vec![0x66, 0x41, 0x0F, 0x72, 0xD1, 0x1F]
+        );
+        // paddq xmm8, xmm9
+        assert_eq!(
+            enc(|a| a.sse_rr(&[0x66], 0xD4, Xmm(8), Xmm(9))),
+            vec![0x66, 0x45, 0x0F, 0xD4, 0xC1]
         );
     }
 

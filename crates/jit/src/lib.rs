@@ -5,10 +5,11 @@
 //! wall-clock axis to calibrate the simulated cost model against.
 //!
 //! The backend is deliberately small and fully self-contained — a
-//! hand-rolled assembler ([`asm`]), a slot-based lowering pass
-//! ([`lower`]), raw `mmap`/`mprotect` executable memory ([`exec_mem`])
-//! and a C-ABI runtime contract ([`runtime`]). There is no external
-//! assembler, linker, or crates.io dependency.
+//! hand-rolled assembler ([`asm`]), a lowering pass with a block-local
+//! register cache over per-value frame slots ([`lower`]), raw
+//! `mmap`/`mprotect` executable memory ([`exec_mem`]) and a C-ABI
+//! runtime contract ([`runtime`]). There is no external assembler,
+//! linker, or crates.io dependency.
 //!
 //! ## Fallback contract
 //!
@@ -60,6 +61,7 @@ pub mod asm;
 pub mod differential;
 pub mod exec_mem;
 pub mod hot;
+pub mod listing;
 pub mod lower;
 pub mod pcmap;
 pub mod perf;
@@ -68,12 +70,14 @@ pub mod sampler;
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use snslp_interp::{ExecError, ExecOptions, Memory, Trap, Value};
 use snslp_ir::{Function, InstId, ScalarType, Type};
 use snslp_trace::{add, bump, Counter, DecisionId, ReasonCode, Remark, Span};
 
 use exec_mem::ExecMem;
+use listing::Listing;
 use runtime::{status, JitCtx, RET_BUF_BYTES};
 
 pub use differential::{check_backends, check_hotness, materialize_args, BackendDiff};
@@ -236,7 +240,8 @@ pub fn compile_with(f: &Function, opts: &LowerOptions) -> Result<CompiledFunctio
                     ops_lowered: lowered.ops_lowered,
                 },
                 code: lowered.code,
-                dump: lowered.dump,
+                listing: lowered.listing,
+                dump: OnceLock::new(),
                 pc_map: lowered.pc_map,
                 num_blocks: lowered.num_blocks,
                 instrumented: lowered.instrumented,
@@ -259,7 +264,8 @@ pub struct CompiledFunction {
     param_tys: Vec<Type>,
     ret_ty: Type,
     code: Vec<u8>,
-    dump: String,
+    listing: Listing,
+    dump: OnceLock<String>,
     stats: JitStats,
     pc_map: PcMap,
     num_blocks: usize,
@@ -279,8 +285,9 @@ impl CompiledFunction {
 
     /// Deterministic, byte-stable disassembly-style text dump of the
     /// lowering (no absolute addresses), suitable for golden tests.
+    /// Rendered from the recorded listing on first use.
     pub fn dump(&self) -> &str {
-        &self.dump
+        self.dump.get_or_init(|| self.listing.render())
     }
 
     /// Code-size statistics.
@@ -576,11 +583,15 @@ mod tests {
         assert!(c.stats().ops_lowered >= 4);
         assert_eq!(c.code().len(), c.stats().code_bytes);
         assert!(c.dump().starts_with("jit `axpy1` isa=sse2"));
-        assert!(c.dump().ends_with(&format!(
-            "end: code={}B ops={}\n",
-            c.stats().code_bytes,
-            c.stats().ops_lowered
-        )));
+        let end = c.dump().lines().last().unwrap();
+        assert!(
+            end.starts_with(&format!(
+                "end: code={}B ops={} slot_loads=",
+                c.stats().code_bytes,
+                c.stats().ops_lowered
+            )),
+            "{end}"
+        );
     }
 
     #[test]
@@ -1028,6 +1039,136 @@ mod tests {
                 ArgSpec::F64Array(vec![0.0; 2]),
             ],
         );
+    }
+
+    #[test]
+    fn packed_integer_ops_wrap_like_the_interpreter() {
+        // paddq/psubq/paddd/psubd/pand/por/pxor, through both `Binary`
+        // and uniform `BinaryLanewise`, on lanes that overflow.
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::And, BinOp::Or, BinOp::Xor];
+        for (elem, lanes) in [(ScalarType::I64, 2u8), (ScalarType::I32, 4)] {
+            let vt = VectorType { elem, lanes };
+            let mut fb = FunctionBuilder::new(
+                "packed_int",
+                vec![Param::noalias_ptr("a"), Param::noalias_ptr("out")],
+                Type::Void,
+            );
+            let a = fb.func().param(0);
+            let out = fb.func().param(1);
+            let x = fb.load_vector(vt, a);
+            let p = fb.ptradd_const(a, 16);
+            let y = fb.load_vector(vt, p);
+            for (i, &op) in ops.iter().enumerate() {
+                let plain = fb.binary(op, x, y);
+                let lanewise = fb.binary_lanewise(vec![op; lanes as usize], y, plain);
+                let q = fb.ptradd_const(out, 32 * i as i64);
+                fb.store(q, plain);
+                let q = fb.ptradd_const(out, 32 * i as i64 + 16);
+                fb.store(q, lanewise);
+            }
+            fb.ret(None);
+            let f = fb.finish();
+            let dump = compile(&f).expect("lowers").dump().to_string();
+            assert!(!dump.contains("per-lane"), "{dump}");
+            let args = match elem {
+                ScalarType::I64 => vec![
+                    ArgSpec::I64Array(vec![i64::MAX, i64::MIN, 1, -1]),
+                    ArgSpec::I64Array(vec![0; 20]),
+                ],
+                _ => vec![
+                    ArgSpec::I32Array(vec![
+                        i32::MAX,
+                        i32::MIN,
+                        -1,
+                        0x4000_0000,
+                        1,
+                        -1,
+                        i32::MIN,
+                        0x4000_0000,
+                    ]),
+                    ArgSpec::I32Array(vec![0; 40]),
+                ],
+            };
+            assert_agree(&f, &args);
+        }
+    }
+
+    #[test]
+    fn packed_compares_selects_and_casts_match() {
+        // cmpps/cmppd masks (NaN lanes), mask selects over 4- and 8-byte
+        // lanes, and the packed conversions, all stored for comparison.
+        let preds = [
+            CmpPred::Eq,
+            CmpPred::Ne,
+            CmpPred::Lt,
+            CmpPred::Le,
+            CmpPred::Gt,
+            CmpPred::Ge,
+        ];
+        let mut fb = FunctionBuilder::new(
+            "packed_cmp",
+            vec![
+                Param::noalias_ptr("s"),
+                Param::noalias_ptr("d"),
+                Param::noalias_ptr("i"),
+                Param::noalias_ptr("out"),
+            ],
+            Type::Void,
+        );
+        let (s, d, i, out) = (
+            fb.func().param(0),
+            fb.func().param(1),
+            fb.func().param(2),
+            fb.func().param(3),
+        );
+        let f4 = VectorType::new(ScalarType::F32, 4);
+        let d2 = VectorType::new(ScalarType::F64, 2);
+        let i4 = VectorType::new(ScalarType::I32, 4);
+        let i2 = VectorType::new(ScalarType::I32, 2);
+        let sx = fb.load_vector(f4, s);
+        let p = fb.ptradd_const(s, 16);
+        let sy = fb.load_vector(f4, p);
+        let dx = fb.load_vector(d2, d);
+        let p = fb.ptradd_const(d, 16);
+        let dy = fb.load_vector(d2, p);
+        let iv = fb.load_vector(i4, i);
+        let p = fb.ptradd_const(i, 16);
+        let iw = fb.load_vector(i2, p);
+        let mut off = 0i64;
+        let mut put = |fb: &mut FunctionBuilder, v| {
+            let q = fb.ptradd_const(out, off);
+            fb.store(q, v);
+            off += 16;
+        };
+        for pred in preds {
+            let m4 = fb.cmp(pred, sx, sy);
+            let m2 = fb.cmp(pred, dx, dy);
+            let s4 = fb.select(m4, sx, sy);
+            let s2 = fb.select(m2, dy, dx);
+            for v in [m4, m2, s4, s2] {
+                put(&mut fb, v);
+            }
+        }
+        let a = fb.cast(CastKind::Sitofp, ScalarType::F32, iv);
+        let b = fb.cast(CastKind::Sitofp, ScalarType::F64, iw);
+        let lo = fb.shuffle(sx, sy, vec![0, 5]);
+        let c = fb.cast(CastKind::Fpext, ScalarType::F64, lo);
+        let e = fb.cast(CastKind::Fptrunc, ScalarType::F32, dx);
+        for v in [a, b, c, e] {
+            put(&mut fb, v);
+        }
+        fb.ret(None);
+        let f = fb.finish();
+        let dump = compile(&f).expect("lowers").dump().to_string();
+        assert!(!dump.contains("per-lane"), "{dump}");
+        let nan = f64::NAN;
+        let args = vec![
+            ArgSpec::F32Array(vec![1.0, f32::NAN, -0.0, 3.5, 2.0, 1.0, 0.0, 3.5]),
+            ArgSpec::F64Array(vec![nan, -2.0, 1.0, -2.0]),
+            ArgSpec::I32Array(vec![16_777_217, i32::MIN, -3, i32::MAX, -7, 33_554_435]),
+            ArgSpec::F32Array(vec![0.0; 4 * (4 * preds.len() + 4)]),
+        ];
+        assert_agree(&f, &args);
     }
 
     #[test]

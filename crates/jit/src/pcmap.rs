@@ -22,7 +22,9 @@ use snslp_trace::DecisionId;
 /// What one native byte range implements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PcKind {
-    /// One IR instruction (its fuel gate plus its body).
+    /// One IR instruction: its body, preceded for a load, store,
+    /// integer div/rem or terminator by the fuel charge for the run of
+    /// instructions that ends at it.
     Inst {
         /// Arena index of the instruction.
         inst: u32,
@@ -138,9 +140,10 @@ impl PcMap {
     /// counts the lowered instructions of that class in the block. With
     /// the per-block execution counters of an instrumented run, the
     /// per-class native execution totals are the matrix-vector product —
-    /// exact, because the fuel gate proves every non-phi instruction of
-    /// an entered block executes (a trapped activation stops mid-block
-    /// and is excluded from reconciliation).
+    /// exact, because every block ends in a terminator, so an
+    /// activation that leaves an entered block has executed all of its
+    /// non-phi instructions (a trapped activation stops mid-block and is
+    /// excluded from reconciliation).
     pub fn class_matrix(&self, num_blocks: usize) -> Vec<[u64; OpClass::ALL.len()]> {
         let mut m = vec![[0u64; OpClass::ALL.len()]; num_blocks];
         for r in &self.ranges {

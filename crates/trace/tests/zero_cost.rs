@@ -3,18 +3,28 @@
 //!
 //! A counting global allocator wraps the system one; the test drives every
 //! hot-path entry point (event macro, span, counter bump, remark emit) and
-//! asserts the allocation count does not move.
+//! asserts the allocation count does not move. Counts are per thread, so
+//! a sibling test allocating on its own thread is not charged here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: reading it never allocates, so
+    // the allocator itself may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far on the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -50,7 +60,7 @@ fn disabled_tracing_emits_nothing_and_allocates_nothing() {
         detail: String::new(),
     };
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..1000u64 {
         // Field expressions must not be evaluated, so the format! here
         // must never run.
@@ -70,7 +80,7 @@ fn disabled_tracing_emits_nothing_and_allocates_nothing() {
         drop(p);
         snslp_trace::prof_counter("hot.counter", i as f64);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
