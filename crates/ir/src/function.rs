@@ -221,6 +221,11 @@ impl Function {
         id
     }
 
+    /// Reserves arena room for at least `additional` more instructions.
+    pub(crate) fn reserve_insts(&mut self, additional: usize) {
+        self.insts.reserve(additional);
+    }
+
     /// Creates an arena slot without placing it into any block. Used by
     /// passes that build instructions first and schedule them later.
     pub fn create_detached(&mut self, kind: InstKind, ty: Type) -> InstId {
